@@ -12,6 +12,11 @@ Engineering benchmarks additionally persist *machine-readable* results via
 ``history`` list with one point per recorded run (events/sec, peak heap
 size, wall-clock, ...), so every future PR appends to a perf trajectory and
 regressions are diffable in review rather than anecdotal.
+
+Both files are written only when ``BENCH_RECORD=1`` is set in the
+environment. Without it a benchmark still computes, prints and asserts
+everything, but leaves the tracked tables and trajectories as they are, so
+a plain test run never rewrites them.
 """
 
 from __future__ import annotations
@@ -34,11 +39,19 @@ BENCH_ROOT = pathlib.Path(__file__).parent.parent
 BENCH_SCHEMA = 1
 
 
+def recording() -> bool:
+    """True when ``BENCH_RECORD=1``: results and trajectories are written."""
+    return os.environ.get("BENCH_RECORD") == "1"
+
+
 def emit(name: str, text: str) -> None:
-    """Print a result table and persist it under benchmarks/results/."""
-    RESULTS.mkdir(exist_ok=True)
-    (RESULTS / f"{name}.txt").write_text(text + "\n")
-    print(f"\n{text}\n[written to benchmarks/results/{name}.txt]")
+    """Print a result table; persist it under benchmarks/results/ when
+    recording."""
+    print(f"\n{text}")
+    if recording():
+        RESULTS.mkdir(exist_ok=True)
+        (RESULTS / f"{name}.txt").write_text(text + "\n")
+        print(f"[written to benchmarks/results/{name}.txt]")
 
 
 def once(benchmark, fn):
@@ -79,12 +92,13 @@ def _git_rev() -> str:
 _POINT_META = {"date", "rev"}
 
 
-def emit_bench_json(name: str, metrics: Dict[str, Any]) -> pathlib.Path:
-    """Append one point to the ``BENCH_<name>.json`` perf trajectory.
+def emit_bench_json(name: str, metrics: Dict[str, Any]) -> None:
+    """Append one point to the ``BENCH_<name>.json`` perf trajectory when
+    recording; otherwise write nothing.
 
     The file keeps every recorded run under ``history`` (newest last) plus a
     ``latest`` convenience copy, so a reviewer can diff the head-of-trunk
-    numbers without parsing the whole list. Returns the file path.
+    numbers without parsing the whole list.
 
     Two classes of silent corruption are refused with :class:`ValueError`
     rather than papered over: a ``schema`` mismatch (an old run against a
@@ -93,6 +107,8 @@ def emit_bench_json(name: str, metrics: Dict[str, Any]) -> pathlib.Path:
     point's would break trajectory comparisons — rename deliberately by
     migrating the file, not accidentally).
     """
+    if not recording():
+        return
     path = BENCH_ROOT / f"BENCH_{name}.json"
     if path.exists():
         doc = json.loads(path.read_text())
@@ -124,4 +140,3 @@ def emit_bench_json(name: str, metrics: Dict[str, Any]) -> pathlib.Path:
     doc["latest"] = point
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     print(f"[bench] trajectory point appended to {path.name}")
-    return path

@@ -15,8 +15,11 @@ lockstep thousands of times. :class:`PersistentWorkerPool` provides it:
 * **inline mode** (``inline=True``): the states live in this process and
   calls run directly — but every init arg, payload, and result still
   makes a full pickle round-trip, so inline and piped execution see
-  bit-identical inputs. This is what lets ``shards=1`` (in-process) and
-  ``shards>=2`` (process pool) produce byte-identical traces.
+  bit-identical inputs. What a state keeps to itself between calls
+  makes no trip in either mode; the shard worker relies on that to hold
+  cut messages between its own islands, which is safe because they are
+  frozen. The ``shards=1``/``2``/``"auto"`` equivalence suite certifies
+  that these layouts produce byte-identical traces.
 
 Errors raised inside a worker surface in the parent as
 :class:`WorkerError` carrying the remote traceback text; the pool is

@@ -3,10 +3,10 @@
 Cut segments (see :mod:`repro.sim.shard.partition`) do not deliver to
 remote members directly; they hand the frame to their island's
 :class:`ShardGateway`, which stamps it into a :class:`CutMessage` with a
-delivery time of ``now + lookahead``. The coordinator collects every
-island's outbox at the epoch barrier and routes the messages to their
-destination islands, where they are injected at the start of the next
-epoch.
+delivery time of ``now + lookahead``. At the epoch barrier each worker
+keeps the messages for its own islands and hands the rest to the
+coordinator, which routes them to their destination islands' workers;
+either way a message is injected at the start of the next epoch.
 
 Determinism discipline — the same ``(time, priority, seq)`` idea the
 event queue uses, lifted to the channel:
@@ -22,7 +22,8 @@ event queue uses, lifted to the channel:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, List, Optional, Sequence, Tuple
+from operator import attrgetter
+from typing import Any, Iterable, List, Optional, Tuple
 
 from repro.net.packet import Frame
 
@@ -51,7 +52,7 @@ class CutMessage:
 
 def merge_inbox(messages: Iterable[CutMessage]) -> List[CutMessage]:
     """Deterministically order one island's epoch inbox."""
-    return sorted(messages, key=lambda m: (m.deliver_time, m.src_island, m.seq))
+    return sorted(messages, key=attrgetter("merge_key"))
 
 
 class ShardGateway:
@@ -85,13 +86,6 @@ class ShardGateway:
         )
         self._seq += 1
         self.sent += 1
-
-    def send_multi(
-        self, vlan: int, frame: Frame, src_switch: Optional[str], dst_islands: Sequence[int]
-    ) -> None:
-        """One copy per destination island (multicast fan-out across the cut)."""
-        for island in dst_islands:
-            self.send(vlan, frame, src_switch, island)
 
     def drain(self) -> List[CutMessage]:
         """Take (and clear) the epoch's outbox."""

@@ -15,11 +15,19 @@ Determinism argument (the byte-identical-traces claim):
 2. Inboxes are deterministic: a message's ``(deliver_time, src_island,
    seq)`` key depends only on the sending island's deterministic
    execution, and the merge sorts by that key before scheduling.
-3. Worker layout (how islands map onto processes, or whether they run
+3. Where a message waits between epochs does not matter. Messages for
+   another worker's island go back to the coordinator, which routes
+   them; in inline mode the payloads and step results still make a
+   pickle round trip, as a pipe transfer would. Messages for an island
+   of the same worker stay inside that worker and are merged into the
+   next step's inbox with the same key, as the same objects. Sharing
+   them is safe: frames and protocol payloads are frozen, and one
+   frame object already reaches every receiver of a multicast.
+4. Worker layout (how islands map onto processes, or whether they run
    inline) therefore cannot influence any island's history — which is
-   exactly what the equivalence suite pins: ``shards=1`` (in-process)
-   vs ``shards>=2`` (process pool) produce byte-identical traces,
-   counters, notifications, and merged metrics.
+   exactly what the equivalence suite pins: ``shards=1``, ``2`` and
+   ``"auto"`` produce byte-identical traces, counters, notifications,
+   merged metrics and in-flight drops.
 
 The epoch discipline matches the engine's ``run(until=X)`` contract
 (events with ``when <= X`` fire): epoch *k* covers ``(E, E+L]``. A frame
@@ -169,7 +177,6 @@ class IslandHost:
         return {
             "outbox": self.gateway.drain(),
             "stable_time": None if gsc is None else gsc.stable_time,
-            "now": self.sim.now,
         }
 
     def finish(self) -> Dict[str, Any]:
@@ -210,26 +217,54 @@ class IslandHost:
             "unfired": unfired,
             "metrics": sim.metrics.dump(),
             "events_executed": sim.events_executed,
-            "now": sim.now,
             "cross_sent": self.gateway.sent,
         }
 
 
 class ShardWorker:
-    """The state one pool worker holds: its assigned islands."""
+    """The state one pool worker holds: its assigned islands.
+
+    Cut messages between two islands of this worker never leave it: the
+    step keeps them in :attr:`local` and merges them into the next
+    step's inbox, so only traffic for other workers' islands goes back
+    to the coordinator.
+    """
 
     def __init__(self, init: _WorkerInit) -> None:
         self.hosts = {i: IslandHost(init.plan, i) for i in init.island_ids}
+        #: island id -> cut messages from this worker's own islands,
+        #: held for the next step
+        self.local: Dict[int, List[CutMessage]] = {i: [] for i in self.hosts}
 
     def step(self, payload: Dict[str, Any]) -> Dict[int, Dict[str, Any]]:
         """Deliver each island's inbox, then run all to the barrier."""
-        for island_id, messages in payload["inbox"].items():
-            self.hosts[island_id].deliver(messages)
+        for island_id, host in self.hosts.items():
+            messages = payload["inbox"][island_id]
+            held = self.local[island_id]
+            if held:
+                self.local[island_id] = []
+                messages = merge_inbox([*messages, *held])
+            host.deliver(messages)
         until = payload["until"]
-        return {i: host.step(until) for i, host in self.hosts.items()}
+        reports = {i: host.step(until) for i, host in self.hosts.items()}
+        for report in reports.values():
+            remote = []
+            for message in report["outbox"]:
+                held = self.local.get(message.dst_island)
+                if held is None:
+                    remote.append(message)
+                else:
+                    held.append(message)
+            report["outbox"] = remote
+        return reports
 
     def finish(self, _payload: Any) -> Dict[int, Dict[str, Any]]:
-        return {i: host.finish() for i, host in self.hosts.items()}
+        """Final per-island accounting; ``in_flight`` counts the messages
+        still held for each island when the horizon ended."""
+        return {
+            i: {**host.finish(), "in_flight": len(self.local[i])}
+            for i, host in self.hosts.items()
+        }
 
 
 def _make_worker(init: _WorkerInit) -> ShardWorker:
@@ -284,9 +319,9 @@ def run_sharded(
 
     ``shards`` is a worker-process budget: ``"auto"`` means one worker
     per island; an int is clamped to the island count. ``shards=1`` runs
-    every island inline in this process — same pipeline, no children —
-    which is the determinism baseline the equivalence tests compare
-    against.
+    every island inline in this process — same pipeline, no children,
+    every cut message kept inside the one worker — which is the
+    determinism baseline the equivalence tests compare against.
     """
     factory_kwargs = dict(factory_kwargs or {})
     if "trace" in factory_kwargs:
@@ -403,6 +438,7 @@ def run_sharded(
         unfired.extend(fin["unfired"])
         events_executed += fin["events_executed"]
         cross_messages += fin["cross_sent"]
+        dropped += fin["in_flight"]
         if final_stable is None and fin["stable_time"] is not None:
             final_stable = fin["stable_time"]
     decorated_records.sort(key=lambda t: (t[0], t[1], t[2]))

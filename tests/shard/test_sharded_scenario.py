@@ -9,6 +9,7 @@ from repro.sim.engine import SimulationError, Simulator
 from repro.sim.shard import (
     LOOKAHEAD_FLOOR,
     ShardedScenarioResult,
+    run_sharded,
     validate_shards,
 )
 
@@ -94,3 +95,19 @@ def test_scenario_dispatches_to_sharded_result_and_layouts_agree():
     assert inline.cross_messages > 0
     # the acceptance bar: identical artifacts regardless of layout
     assert _fingerprint(inline) == _fingerprint(pooled)
+
+
+def test_messages_in_flight_at_the_horizon_drop_alike_in_every_layout():
+    """A horizon that ends with a cut message in flight. At shards=1 the
+    one worker holds every leftover, at 2 the worker of islands 0 and 2
+    holds their mutual traffic, at auto the coordinator holds them all:
+    each layout must count the same drops."""
+    zoned = dict(ZONED, nodes_per_zone=3, seed=77)
+    dropped = {
+        shards: run_sharded(
+            build_zoned_farm, zoned, duration=18.2, shards=shards
+        ).dropped_in_flight
+        for shards in (1, 2, "auto")
+    }
+    assert dropped[1] > 0
+    assert dropped[1] == dropped[2] == dropped["auto"]
